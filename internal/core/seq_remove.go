@@ -82,9 +82,10 @@ func (r *removeRun) doMCD(x int32) {
 		// stays >= core otherwise, checked by invariant tests).
 		panic("core: mcd fell below core away from removal level")
 	}
-	// Publish t before the core drop: concurrent CheckMCD readers (in
-	// the parallel version) must never observe core = k-1 with t = 0 for
-	// an in-flight vertex.
+	// Mark x in flight together with its core drop. With one thread the
+	// order of the two stores is unobservable; the parallel DoMCD stores
+	// them inside one order-change bracket so that concurrent CheckMCD
+	// readers see them as a pair.
 	st.T[x].Store(2)
 	st.Core[x].Store(r.k - 1)
 	st.Mcd[x].Store(McdEmpty)

@@ -28,10 +28,18 @@ const McdEmpty int32 = -1
 //
 // Field access contract (enforced by the race detector in parallel tests):
 // Core, S and T are read by workers that do not hold the vertex lock and are
-// atomic. Dout and Mcd are atomic too: commit phases adjust the Dout of
-// unlocked survivor neighbors and invalidate the Mcd of unlocked neighbors
-// (safe because insertion and removal batches never overlap and neither
-// phase reads the other structure). Din and the adjacency of G are only
+// atomic; a parallel removal drop stores T and Core inside one order-change
+// bracket (odd S), so a reader that brackets its loads with S sees them as
+// one pair. Dout and Mcd are atomic too: a removal drop decrements the Dout
+// of the unlocked level-k neighbors that preceded the dropped vertex, and
+// insertion commits invalidate the Mcd of unlocked neighbors (safe because
+// insertion and removal batches never overlap, removal never reads Dout and
+// insertion never reads Mcd). Every other in-batch Dout update touches only
+// vertices the worker holds: the new or removed edge's earlier endpoint,
+// and insertion's Backward/DoPre at move time. What those updates cannot
+// know is left to the batch end, at quiescence: the Dout of every vertex a
+// removal dropped, and of both endpoints of an edge whose endpoints
+// different insertion workers moved. Din and the adjacency of G are only
 // touched while holding the vertex's entry in Locks.
 //
 // The vertex universe is growable: Grow appends fresh vertices at
@@ -337,8 +345,8 @@ func (st *State) InvalidateMcd(v int32) { st.Mcd[v].Store(McdEmpty) }
 
 // RecomputeDout recomputes and stores d⁺out(v) from the current k-order.
 // Must run at quiescence (batch end) or while every neighbor position that
-// can move is stable; used to repair the Dout of vertices whose list
-// position changed with cross-worker interleaving.
+// can move is stable; used for the vertices a removal dropped and for both
+// endpoints of an edge whose endpoints different insertion workers moved.
 func (st *State) RecomputeDout(v int32) {
 	dout := int32(0)
 	for _, x := range st.G.Adj(v) {

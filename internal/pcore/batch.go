@@ -32,21 +32,21 @@ func InsertEdgesMetered(st *core.State, edges []graph.Edge, workers int, m *Metr
 		m = &Metrics{}
 	}
 	stats := make([]core.InsertStats, len(edges))
-	ws := make([]*insertWorker, workers)
+	moved := make([][]int32, workers)
 	var wg sync.WaitGroup
 	for pi := 0; pi < workers; pi++ {
-		ws[pi] = &insertWorker{st: st, m: m}
 		wg.Add(1)
 		go func(pi int) {
 			defer wg.Done()
-			w := ws[pi]
+			w := &insertWorker{st: st, m: m}
 			for i := pi; i < len(edges); i += workers {
 				stats[i] = w.insertEdge(edges[i].U, edges[i].V)
 			}
+			moved[pi] = w.moved
 		}(pi)
 	}
 	wg.Wait()
-	repairDout(st, ws, nil, workers)
+	recomputeDout(st, crossWorkerEndpoints(st, moved), workers)
 	return stats, m.Snapshot()
 }
 
@@ -67,55 +67,82 @@ func RemoveEdgesMetered(st *core.State, edges []graph.Edge, workers int, m *Metr
 		m = &Metrics{}
 	}
 	stats := make([]core.RemoveStats, len(edges))
-	ws := make([]*removeWorker, workers)
 	var wg sync.WaitGroup
 	for pi := 0; pi < workers; pi++ {
-		ws[pi] = &removeWorker{st: st, m: m}
 		wg.Add(1)
 		go func(pi int) {
 			defer wg.Done()
-			w := ws[pi]
+			w := &removeWorker{st: st, m: m}
 			for i := pi; i < len(edges); i += workers {
 				stats[i] = w.removeEdge(edges[i].U, edges[i].V)
 			}
 		}(pi)
 	}
 	wg.Wait()
-	repairDout(st, nil, ws, workers)
+	// Each dropped vertex changed list and position; its neighbors'
+	// flips were applied at drop time, so only its own d⁺out is left,
+	// recomputed from the settled order as RemoveEdgeSeq does per edge.
+	var dropped []int32
+	for _, s := range stats {
+		dropped = append(dropped, s.Changed...)
+	}
+	recomputeDout(st, dropped, workers)
 	return stats, m.Snapshot()
 }
 
-// repairDout recomputes d⁺out for every vertex whose k-order position
-// changed during the batch and for the neighbors it had at move time, in
-// parallel, once every worker has quiesced. An edge's orientation changes
-// only if one of its endpoints moved, so this set covers every stale Dout.
-// Within a batch each worker maintains Dout incrementally exactly as
-// Algorithm 7 prescribes; what this pass settles is the orientation of edges
-// whose BOTH endpoints were repositioned by different workers — their
-// relative order at the head of O_{k+1} (or tail of O_{k-1}) is decided by
-// lock interleaving and is only observable now. Cost: O(Σ_{v moved} deg(v)),
-// the same order as the traversal work itself.
-func repairDout(st *core.State, iws []*insertWorker, rws []*removeWorker, workers int) {
-	mark := make([]bool, st.N())
-	var targets []int32
-	add := func(v int32) {
-		if !mark[v] {
-			mark[v] = true
-			targets = append(targets, v)
+// crossWorkerEndpoints returns the vertices whose d⁺out no single
+// insertion worker fully observed: both endpoints of every edge whose two
+// endpoints were both moved during the batch (promoted into O_{k+1} or
+// evicted within O_k) by different workers, or with one of them moved by
+// more than one worker. Every other edge had at most one endpoint in
+// motion, or both moved by one worker holding both locks, and Algorithm 7
+// keeps its orientation exact at move time. For the edges returned here
+// the final orientation follows from how two workers' moves interleaved;
+// the conditional locks should order them consistently, but no worker saw
+// both moves, so these are recomputed rather than trusted. moved[p] lists
+// the vertices worker p moved; with fewer than two non-empty lists the
+// result is empty. Cost and scratch are proportional to the moved set and
+// its adjacency, never to n.
+func crossWorkerEndpoints(st *core.State, moved [][]int32) []int32 {
+	movers := 0
+	for _, vs := range moved {
+		if len(vs) > 0 {
+			movers++
 		}
 	}
-	collect := func(repair []int32) {
-		for _, v := range repair {
-			add(v)
+	if movers < 2 {
+		return nil
+	}
+	const many = -1 // moved by more than one worker
+	owner := map[int32]int{}
+	for p, vs := range moved {
+		for _, v := range vs {
+			if o, ok := owner[v]; ok && o != p {
+				owner[v] = many
+			} else {
+				owner[v] = p
+			}
 		}
 	}
-	for _, w := range iws {
-		collect(w.repair)
+	// The relation is symmetric, so listing v alone covers both
+	// endpoints: x is listed when its own entry is scanned.
+	var out []int32
+	for v, ov := range owner {
+		for _, x := range st.G.Adj(v) {
+			if ox, ok := owner[x]; ok && (ox != ov || ov == many) {
+				out = append(out, v)
+				break
+			}
+		}
 	}
-	for _, w := range rws {
-		collect(w.repair)
-	}
-	if len(targets) == 0 {
+	return out
+}
+
+// recomputeDout recomputes d⁺out from the settled k-order for every vertex
+// in vs, in parallel, once every worker has quiesced. A repeated vertex (a
+// removal batch can drop one twice) just stores the same value again.
+func recomputeDout(st *core.State, vs []int32, workers int) {
+	if len(vs) == 0 {
 		return
 	}
 	var wg sync.WaitGroup
@@ -123,8 +150,8 @@ func repairDout(st *core.State, iws []*insertWorker, rws []*removeWorker, worker
 		wg.Add(1)
 		go func(pi int) {
 			defer wg.Done()
-			for i := pi; i < len(targets); i += workers {
-				st.RecomputeDout(targets[i])
+			for i := pi; i < len(vs); i += workers {
+				st.RecomputeDout(vs[i])
 			}
 		}(pi)
 	}

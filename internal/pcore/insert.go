@@ -12,13 +12,12 @@ import (
 type insertWorker struct {
 	st *core.State
 	m  *Metrics
-	// repair records every vertex this worker repositioned (promoted into
-	// O_{k+1} or evicted within O_k) plus the neighbors it had at move
-	// time; the batch runner recomputes their Dout once the batch is
-	// quiescent. Neighborhoods are snapshotted at the move because edges
-	// can be added or removed later in the batch, hiding the affected
-	// neighbor from a batch-end adjacency scan.
-	repair []int32
+	// moved lists every vertex this worker repositioned in the batch
+	// (promoted into O_{k+1} or evicted within O_k). Algorithm 7 keeps
+	// d⁺out exact at move time for every edge it can see; the batch end
+	// uses these lists only to find edges whose endpoints were moved by
+	// different workers (see crossWorkerEndpoints).
+	moved []int32
 
 	// per-edge scratch, reset by insertEdge
 	k      int32
@@ -30,13 +29,6 @@ type insertWorker struct {
 }
 
 func (p *insertWorker) own(v int32) bool { return p.inStar[v] || p.done[v] }
-
-// recordMove snapshots w and its current neighborhood into the batch-end
-// Dout repair set. w is locked by this worker, so its adjacency is stable.
-func (p *insertWorker) recordMove(w int32) {
-	p.repair = append(p.repair, w)
-	p.repair = append(p.repair, p.st.G.Adj(w)...)
-}
 
 // insertEdge inserts one edge and restores the maintenance invariants,
 // locking only the traversed vertices in V+ (Algorithm 7).
@@ -146,6 +138,9 @@ func (p *insertWorker) forward(w int32) {
 // member whose potential degree fell to k, moving evicted vertices after the
 // advancing anchor `pre` inside O_k (Algorithm 7 lines 22-31). All touched
 // vertices are members of V+ and therefore already locked by this worker.
+// d⁺out is settled here, at move time: w and each evicted vertex gain their
+// d*in (the V* predecessors that will be promoted past them), and doPre
+// takes the matching out-edge from those predecessors.
 func (p *insertWorker) backward(w int32) {
 	st := p.st
 	list := st.List(p.k)
@@ -174,7 +169,7 @@ func (p *insertWorker) backward(w int32) {
 		list.Delete(st.Items[u])
 		list.InsertAfter(st.Items[pre], st.Items[u])
 		st.EndOrderChange(u)
-		p.recordMove(u)
+		p.moved = append(p.moved, u)
 		if p.m != nil {
 			p.m.Evictions.Add(1)
 		}
@@ -218,6 +213,10 @@ func (p *insertWorker) doPost(u int32, rq *[]int32, inR map[int32]bool) {
 // moves to the head of O_{k+1} preserving V*'s relative order (anchor
 // chaining), with core number and position published atomically under the
 // order-change status. Every lock this worker still holds is released.
+// The promotion changes no d⁺out itself: backward and doPre already
+// accounted every flip against a vertex this worker traversed. The one
+// orientation it cannot know — against a vertex another worker moved in
+// this batch — is left to the batch end (crossWorkerEndpoints).
 func (p *insertWorker) commit() {
 	st := p.st
 	from := st.List(p.k)
@@ -251,7 +250,7 @@ func (p *insertWorker) commit() {
 		anchor = st.Items[w]
 		st.EndOrderChange(w)
 		st.CommitMu.Unlock()
-		p.recordMove(w)
+		p.moved = append(p.moved, w)
 		if p.m != nil {
 			p.m.Promotions.Add(1)
 		}

@@ -1,6 +1,8 @@
 package pcore
 
 import (
+	"runtime"
+
 	"repro/internal/core"
 	"repro/internal/spin"
 )
@@ -13,9 +15,6 @@ import (
 type removeWorker struct {
 	st *core.State
 	m  *Metrics
-	// repair holds every dropped vertex plus its move-time neighborhood,
-	// for the batch-end Dout recomputation (see insertWorker.repair).
-	repair []int32
 
 	// per-edge scratch
 	k     int32
@@ -132,7 +131,7 @@ func (p *removeWorker) checkMCD(x, caller int32) {
 		switch {
 		case cvv >= cx:
 			mcd++
-		case cvv == cx-1 && st.T[v].Load() > 0:
+		case cvv == cx-1 && st.T[v].Load() > 0 && p.inFlightFrom(v, cx):
 			// v is mid-drop from x's level and has not delivered
 			// its decrement to us yet: count it, and force its
 			// propagation to run again so the decrement arrives
@@ -149,6 +148,28 @@ func (p *removeWorker) checkMCD(x, caller int32) {
 	st.Mcd[x].Store(mcd)
 }
 
+// inFlightFrom reports whether v has dropped from level k and is still
+// propagating: t > 0 next to core k-1, read as one pair between two equal
+// even s values. doMCD stores t and the new core inside v's order-change
+// bracket, so the pair cannot mix a drop's new t with the core number it
+// is leaving. Read separately, a neighbor caught between the two stores of
+// its own drop from k-1 would look in flight from k, and x's mcd would
+// keep a neighbor that never delivers its decrement (an mcd one too high,
+// and a vertex that fails to drop).
+func (p *removeWorker) inFlightFrom(v, k int32) bool {
+	st := p.st
+	for {
+		s := st.S[v].Load()
+		if s&1 == 0 {
+			c, t := st.Core[v].Load(), st.T[v].Load()
+			if st.S[v].Load() == s {
+				return c == k-1 && t > 0
+			}
+		}
+		runtime.Gosched()
+	}
+}
+
 // doMCD accounts one lost qualifying neighbor of the locked vertex x and
 // drops x when its mcd sinks below its core number (Algorithm 8, DoMCD).
 // On a drop x joins V* and the propagation queue and stays locked. Reports
@@ -163,19 +184,33 @@ func (p *removeWorker) doMCD(x int32) bool {
 	if cx != p.k {
 		panic("pcore: mcd fell below core away from removal level")
 	}
-	// Line 22: ⟨core ← k-1; t ← 2⟩ published t-first so no observer sees
-	// a dropped-but-untracked vertex. The core store and the OM
-	// relocation to the tail of O_{k-1} publish as one unit (see
-	// core.State.CommitMu): a worker that observes the lowered core
-	// number — another removal's mcd count or conditional lock —
-	// linearizes its own drops after this one, and the tail placement is
-	// only a valid peeling position if x is already at the tail when
-	// that happens. (The drop cascade order is the peeling order; the
-	// old deferred-to-commit move let a later observer reach the tail
-	// first, inverting it.)
-	st.T[x].Store(2)
+	// Before moving x, flip the out-edge of every level-k neighbor that
+	// precedes x: x now lands below it in k-order (RemoveEdgeSeq's commit
+	// rule). Edges to other levels keep their orientation. x is locked,
+	// so its adjacency and position are stable; a neighbor that never
+	// drops in this batch is stable too, so its update is exact. A
+	// neighbor racing through its own drop may get a wrong count here,
+	// but every dropped vertex's d⁺out — x's included — is recomputed at
+	// the batch end.
+	for _, y := range st.G.Adj(x) {
+		if st.Core[y].Load() == p.k && st.Before(y, x) {
+			st.Dout[y].Add(-1)
+		}
+	}
+	// Line 22: ⟨core ← k-1; t ← 2⟩ published as one unit inside x's
+	// order-change bracket, which CheckMCD reads through inFlightFrom, so
+	// no observer sees a dropped-but-untracked vertex or a tracked one
+	// still at its old core. The core store and the OM relocation to the
+	// tail of O_{k-1} publish as one unit too (see core.State.CommitMu):
+	// a worker that observes the lowered core number — another removal's
+	// mcd count or conditional lock — linearizes its own drops after this
+	// one, and the tail placement is only a valid peeling position if x
+	// is already at the tail when that happens. (The drop cascade order
+	// is the peeling order; the old deferred-to-commit move let a later
+	// observer reach the tail first, inverting it.)
 	st.CommitMu.Lock()
 	st.BeginOrderChange(x)
+	st.T[x].Store(2)
 	st.Core[x].Store(p.k - 1)
 	st.List(p.k).Delete(st.Items[x])
 	st.List(p.k - 1).InsertAtTail(st.Items[x])
@@ -184,10 +219,6 @@ func (p *removeWorker) doMCD(x int32) bool {
 	st.Mcd[x].Store(core.McdEmpty) // line 23
 	p.vstar = append(p.vstar, x)   // line 24
 	p.rq = append(p.rq, x)
-	// x is locked by us, so its adjacency is stable: snapshot it for the
-	// batch-end Dout repair now that the move is done.
-	p.repair = append(p.repair, x)
-	p.repair = append(p.repair, st.G.Adj(x)...)
 	if p.m != nil {
 		p.m.Drops.Add(1)
 	}
@@ -195,10 +226,9 @@ func (p *removeWorker) doMCD(x int32) bool {
 }
 
 // commit releases the locks of the dropped set once propagation has
-// quiesced. The OM relocations happened at drop time (doMCD), atomically
-// with each core store; Dout repair is deferred to the batch-end pass,
-// which recomputes the dropped vertices and all their neighbors once
-// every worker has quiesced.
+// quiesced. The OM relocations and the neighbors' d⁺out flips happened at
+// drop time (doMCD); the dropped vertices' own d⁺out is recomputed at the
+// batch end, once every worker has quiesced and the order has settled.
 func (p *removeWorker) commit() {
 	st := p.st
 	for _, w := range p.vstar {
